@@ -34,9 +34,12 @@ def _examples_root(kind: str) -> str:
     return SYMPTOM_FIXTURE if kind == "symptom" else REFERENCE_EXAMPLES
 
 
+def golden_json_path(kind: str) -> str:
+    return os.path.join(_examples_root(kind), "results", f"{kind}_formatted.json")
+
+
 def load_golden(kind: str) -> Dict:
-    path = os.path.join(_examples_root(kind), "results", f"{kind}_formatted.json")
-    with open(path) as f:
+    with open(golden_json_path(kind)) as f:
         return json.load(f)
 
 
@@ -59,3 +62,15 @@ def golden_input_path(kind: str) -> str:
 
 def golden_formatted_path(kind: str) -> str:
     return os.path.join(_examples_root(kind), "results", f"{kind}_formatted.tsv")
+
+
+def golden_paths(kind: str) -> Tuple[str, str, str]:
+    """The files parity for ``kind`` reads: the recorded conversion JSON,
+    the example input TSV and the committed formatted TSV."""
+    return golden_json_path(kind), golden_input_path(kind), golden_formatted_path(kind)
+
+
+def golden_available(kind: str) -> bool:
+    """True only when all of ``golden_paths(kind)`` exist.  Symptom's files
+    ship in the package; the other kinds' come from ``REFERENCE_EXAMPLES``."""
+    return all(os.path.exists(p) for p in golden_paths(kind))

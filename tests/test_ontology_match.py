@@ -10,7 +10,13 @@ from ontology_matcher_ray.pipelines.ontology_match import run_ontology_match
 from ontology_matcher_ray.schemas import DISEASE_SPEC, Strategy
 from ontology_matcher_ray.sources.io import FormatError, read_entity_file
 from ontology_matcher_ray.state.fixtures import EXPECTED_ROUTE
+from ontology_matcher_ray.state.golden import REFERENCE_EXAMPLES, golden_available
 from ontology_matcher_ray.state.snapshot import get_snapshot
+from tests.util import missing_golden
+
+# the reference checkpoint the --reformat migration test copies
+REFERENCE_DISEASE_JSON = os.path.join(
+    REFERENCE_EXAMPLES, "results", "disease_formatted.json")
 
 
 def write_input(path, rows):
@@ -101,6 +107,14 @@ def test_reader_drops_null_ids_and_validates_columns(tmp_path):
         read_entity_file(str(bad))
 
 
+@pytest.mark.skipif(
+    not os.path.exists(REFERENCE_DISEASE_JSON),
+    reason=f"reference checkpoint missing: {REFERENCE_DISEASE_JSON}",
+)
+@pytest.mark.skipif(
+    not golden_available("disease"),
+    reason=f"golden files missing: {', '.join(missing_golden('disease'))}",
+)
 def test_reformat_resumes_from_reference_json_checkpoint(tmp_path):
     """S4/S5 migration: --reformat with a reference <out>.json checkpoint
     (CustomJSONDecoder shapes, ontology_formatter.py:105-171) next to the

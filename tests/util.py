@@ -1,11 +1,17 @@
 """Test helpers: normalize Ray/DuckDB results and compare them the way the
 driver's correctness gate does (row count + schema + order-insensitive
-values, columns aligned by sorted name)."""
+values, columns aligned by sorted name), and build golden-parity entity
+kinds one at a time."""
 
 from __future__ import annotations
 
+import os
+
 import duckdb
 import pandas as pd
+import pytest
+
+from ontology_matcher_ray.state.golden import golden_available, golden_paths
 
 
 def to_pandas(result) -> pd.DataFrame:
@@ -72,3 +78,24 @@ def assert_matches_oracle(ray_result, sql: str, sf_dir: str):
     )
     assert len(got) == len(want), f"row count differs: {len(got)} vs {len(want)}"
     pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+
+
+def missing_golden(*kinds: str) -> list:
+    """The golden files of ``kinds`` that are not on disk."""
+    return [p for k in kinds for p in golden_paths(k) if not os.path.exists(p)]
+
+
+class PerKind(dict):
+    """Module-fixture cache of golden-parity outputs: ``self[kind]`` builds
+    that one kind on first access via ``build(kind)``, and skips the asking
+    test, naming the missing files, when the kind's golden files are absent."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, kind):
+        if not golden_available(kind):
+            pytest.skip(f"golden files missing: {', '.join(missing_golden(kind))}")
+        self[kind] = value = self._build(kind)
+        return value
